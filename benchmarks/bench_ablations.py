@@ -1,4 +1,4 @@
-"""Ablations of the design choices DESIGN.md calls out.
+"""Ablations of the reproduction's main design choices.
 
 1. KL-divergence vs magnitude importance for structured pruning;
 2. greedy (Algorithm 3) vs optimal assignment — optimality gap;

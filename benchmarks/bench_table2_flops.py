@@ -25,7 +25,7 @@ def test_table2_paper_schedule(benchmark):
 
 def test_table2_algorithm1_schedule(benchmark):
     """The same table under our faithful Algorithm-1 loop (the paper's own
-    loop converges to slightly milder pruning at N=3/5; see EXPERIMENTS.md)."""
+    loop converges to slightly milder pruning at N=3/5)."""
     rows = benchmark(table2_rows, schedule_mode="algorithm1")
     print_table("Table II variant: Algorithm-1 head schedule", rows)
     cifar = next(r for r in rows if r["Dataset"] == "CIFAR-10")

@@ -2,8 +2,9 @@
 
 Benchmarks regenerate every table and figure of the paper at reproduction
 scale: analytic/simulated experiments use the full-size ViT configs, while
-trained experiments use scaled-down models on synthetic data (see
-DESIGN.md).  Each bench prints the rows/series the paper reports; run with
+trained experiments use scaled-down models on synthetic data, since the
+paper's datasets and pretrained weights are not available offline.  Each
+bench prints the rows/series the paper reports; run with
 ``pytest benchmarks/ --benchmark-only -s`` to see them.
 """
 

@@ -12,10 +12,10 @@ subclasses *inherit* the full kernel set and conformance means:
   signature (parameter names, order, ``*args``/``**kwargs``, and default
   values) — a drifted override would silently shadow call sites that
   pass keywords positionally;
-* **BACKEND003** — dynamic method binding (``object.__setattr__`` loops
-  that shadow kernels per instance) defeats this static check, so it is
-  flagged everywhere except the explicitly allowed
-  ``ProfilingBackend``, whose delegation pattern is documented.
+* **BACKEND003** — dynamic method binding (``__setattr__`` calls in
+  ``__init__`` that shadow kernels per instance) defeats this static
+  check, so it is flagged in every backend class.  A wrapper forwards
+  kernels with plain defs instead, as ``ProfilingBackend`` does.
 """
 
 from __future__ import annotations
@@ -29,9 +29,6 @@ from ..registry import Rule, register_rule
 BASE_CLASS = "ArrayBackend"
 REGISTRY_NAME = "_REGISTRY"
 REGISTER_FUNC = "register_backend"
-
-# Classes allowed to bind kernel implementations dynamically in __init__.
-DYNAMIC_BINDING_ALLOWED = frozenset({"ProfilingBackend"})
 
 
 def _signature(fn: ast.FunctionDef) -> tuple:
@@ -142,8 +139,7 @@ class BackendProtocolRule(Rule):
                     hint="keep kernel override signatures identical to the "
                          "base so keyword and positional call sites stay "
                          "interchangeable"))
-            if node.name == "__init__" \
-                    and classdef.name not in DYNAMIC_BINDING_ALLOWED:
+            if node.name == "__init__":
                 for call in ast.walk(node):
                     if isinstance(call, ast.Call) \
                             and isinstance(call.func, ast.Attribute) \
@@ -151,8 +147,8 @@ class BackendProtocolRule(Rule):
                         findings.append(Finding(
                             "BACKEND003", "error", module.path, call.lineno,
                             f"{classdef.name} binds methods dynamically via "
-                            f"__setattr__ in __init__; only ProfilingBackend "
-                            f"is allowed to shadow kernels per instance",
+                            f"__setattr__ in __init__, which hides its "
+                            f"kernels from the signature check",
                             hint="override kernels as plain defs so the "
                                  "conformance check can see them"))
         return findings

@@ -4,7 +4,7 @@ Section IV-D frames assignment as a 0-1-knapsack-style problem.  For the
 small instances in the benchmarks (≤ 10 sub-models, ≤ 10 devices) we can
 enumerate assignments with branch-and-bound and report the true optimum of
 ``max min_i (E_i - L·e_j)``, quantifying the greedy algorithm's optimality
-gap (an ablation DESIGN.md calls out).
+gap (measured by ``benchmarks/bench_ablations.py``).
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ Usage::
     python -m repro.cli plan --quant auto --memory-headroom 0.5 --store ./artifacts
     python -m repro.cli quantize --plan plan.json --store ./artifacts --out plan-int8.json
     python -m repro.cli loadgen --rates 50,100,200 --compare-batching
-    python -m repro.cli trace --out trace.json --transport inprocess
+    python -m repro.cli serve --trace trace.json --transport inprocess
     python -m repro.cli loadgen --rates 100 --trace trace.json --metrics
     python -m repro.cli capacity --traffic burst --slo-p95-ms 8000
     python -m repro.cli capacity --trace-file arrivals.jsonl --json
@@ -465,13 +465,6 @@ def cmd_artifacts(args) -> None:
               f"{store.total_bytes / 2 ** 20:.2f} MiB remain")
 
 
-def cmd_trace(args) -> None:
-    """``repro trace``: a traced serve run with the export always on."""
-    if not args.trace:
-        args.trace = args.out
-    cmd_serve(args)
-
-
 def cmd_loadgen(args) -> None:
     from .serving import LoadgenConfig, run_load
 
@@ -780,18 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="emit the run report as JSON (machine-"
                               "readable; empty-window stats are null)")
     p_serve.set_defaults(func=cmd_serve)
-
-    p_trace = sub.add_parser(
-        "trace", help="serve traffic with tracing on and render the run "
-                      "as a Perfetto/Chrome trace timeline")
-    _add_serving_options(p_trace)
-    p_trace.add_argument("--rps", type=float, default=200.0,
-                         help="offered arrival rate (Poisson)")
-    p_trace.add_argument("--out", default="trace.json", metavar="FILE",
-                         help="trace-event JSON output path")
-    p_trace.set_defaults(func=cmd_trace, kill_after=None, swap_after=None,
-                         plan=None, no_replan=False, swap_quant=None,
-                         json=False)
 
     p_load = sub.add_parser(
         "loadgen", help="latency-vs-offered-load sweep over the serving layer")

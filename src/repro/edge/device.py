@@ -5,7 +5,7 @@ boards (Table I).  Latency there is compute-bound, so we model a device as
 an effective MAC throughput plus memory/energy budgets.  The throughput
 constant is calibrated so that ViT-Base's analytic MAC count maps exactly
 to the paper's measured 36.94 s; ViT-Small and ViT-Large then land within
-±9 % of their measured values (recorded in EXPERIMENTS.md).
+±9 % of their measured values (pinned in ``tests/edge/test_device.py``).
 """
 
 from __future__ import annotations

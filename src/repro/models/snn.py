@@ -19,7 +19,6 @@ import dataclasses
 import numpy as np
 
 from .. import nn
-from ..nn.backend import get_backend
 from ..nn.tensor import Tensor, is_grad_enabled
 
 
@@ -35,8 +34,7 @@ def spike_fn(membrane: Tensor, threshold: float = 1.0,
     if not is_grad_enabled():
         # Graph-free path: no surrogate, no closure.
         return Tensor._noback(spikes)
-    backend = get_backend()
-    diff = backend.abs(v - threshold)
+    diff = np.abs(v - threshold)
     surrogate = surrogate_scale / (1.0 + surrogate_scale * diff) ** 2
 
     def backward(grad):

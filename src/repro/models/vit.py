@@ -150,7 +150,7 @@ class MultiHeadSelfAttention(nn.Module):
         scores *= self.scale
         bk.softmax(scores, axis=-1, out=scores)
         ctx = bk.matmul(scores, v)                     # (B, H, P, dh)
-        ctx = bk.ascontiguous(ctx.transpose(0, 2, 1, 3)).reshape(b, p, h * dh)
+        ctx = np.ascontiguousarray(ctx.transpose(0, 2, 1, 3)).reshape(b, p, h * dh)
         return self.proj.infer(
             bk, ctx,
             out=None if ws is None else ws.buffer("proj", (b, p, self.embed_dim),
@@ -252,10 +252,9 @@ class VisionTransformer(nn.Module):
         tokens = self.patch_embed(x)                    # (B, P, D)
         b = tokens.shape[0]
         if not is_grad_enabled():
-            bk = get_backend()
-            cls = bk.broadcast_to(self.cls_token.data,
+            cls = np.broadcast_to(self.cls_token.data,
                                   (b, 1, self.config.embed_dim))
-            data = bk.concatenate([cls, tokens.data], axis=1)
+            data = np.concatenate([cls, tokens.data], axis=1)
             data += self.pos_embed.data
             return self.dropout(Tensor._noback(data))
         cls = self.cls_token + nn.zeros((b, 1, self.config.embed_dim))

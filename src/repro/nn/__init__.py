@@ -19,11 +19,11 @@ Execution is layered:
   shape-keyed scratch buffers (:class:`~repro.nn.backend.Workspace`), so
   outputs may alias internal storage until the next forward call — copy
   what you keep (``repro.core.predict`` does).
-* **Array backend** (:mod:`repro.nn.backend`): all primitive array math
-  (matmul, einsum, im2col convolution, reductions, fused
-  softmax/layernorm/GELU kernels) is routed through a pluggable
-  :class:`~repro.nn.backend.ArrayBackend`.  Select with
-  ``nn.set_backend(...)`` / ``nn.use_backend(...)`` or the
+* **Array backend** (:mod:`repro.nn.backend`): the hot kernels
+  (matmul, einsum, the linear family, im2col convolution, fused
+  softmax/layernorm/GELU) are routed through a pluggable
+  :class:`~repro.nn.backend.ArrayBackend`; the rest is plain numpy.
+  Select with ``nn.set_backend(...)`` / ``nn.use_backend(...)`` or the
   ``REPRO_BACKEND`` environment variable; register new engines with
   ``nn.register_backend``.
 """

@@ -1,14 +1,17 @@
-"""Array-ops backend layer: the seam between autograd and raw array math.
+"""Array-kernel backend layer: the seam between autograd and the hot kernels.
 
-Every numerical primitive the framework needs — matmuls, einsums, the
-im2col convolution lowering, reductions, elementwise transcendentals, RNG —
-is routed through an :class:`ArrayBackend` instance instead of calling
-``numpy`` directly from op code.  This mirrors the thin-wrapper design of
-the original ``autograd`` package (``autograd.numpy`` re-exports the array
-namespace and the differentiation machinery never touches it directly): the
-differentiation rules in :mod:`repro.nn.ops` compose *named primitives*, so
-an alternative backend (BLAS-threaded, fused-kernel, GPU, ...) can be
-plugged in by implementing this surface and registering it.
+:class:`ArrayBackend` names the eleven kernels that dominate the cost of
+the small pruned sub-models this repo serves, and only those: ``matmul``,
+``einsum``, the linear family (``linear``, ``linear_act``,
+``linear_q8``), ``softmax``, ``log_softmax``, ``layer_norm``, ``gelu``,
+and the im2col convolution lowering (``conv_im2col`` / ``col2im``).  They
+are the kernels a tuned backend overrides (see
+:class:`~repro.nn.blocked.BlockedBackend`) or that
+:class:`~repro.obs.ProfilingBackend` times; it times nine of them and
+passes ``gelu`` and ``col2im`` through untimed.  The differentiation rules
+in :mod:`repro.nn.ops` call these kernels through the active backend and
+do the rest of their array math (elementwise glue, reductions, indexing)
+in plain numpy.
 
 Selection::
 
@@ -143,42 +146,67 @@ def scratch(workspace: Workspace | None, tag: str, shape, dtype) -> np.ndarray:
     return workspace.buffer(tag, shape, dtype)
 
 
-class ArrayBackend:
-    """Abstract array-primitive surface.
+# Activations linear_act/linear_q8 may fuse as a post-GEMM epilogue.
+ACTIVATIONS = ("gelu", "relu", "sigmoid", "tanh")
 
-    :class:`NumpyBackend` is the reference implementation; subclasses may
-    override any subset (e.g. just ``matmul``/``einsum`` for a BLAS-tuned
-    variant) since the base class implements everything over numpy already.
-    Methods accept and return plain ``np.ndarray`` — Tensors never cross
-    this boundary.
+
+def _gelu_tanh_term(x, out=None) -> np.ndarray:
+    """``1 + tanh(sqrt(2/pi) * (x + 0.044715 * x^3))`` into ``out``.
+
+    The one GELU formula both :meth:`ArrayBackend.gelu` and the ``"gelu"``
+    epilogue scale ``x`` by.  ``x ** 3`` hits numpy's generic float pow
+    (~70x slower than two multiplies for float32), so the cube is
+    ``x*x*x``.  ``out`` must not alias ``x``.
+    """
+    t = np.multiply(x, x, out=out)
+    t *= x
+    t *= 0.044715
+    t += x
+    t *= _SQRT_2_OVER_PI
+    np.tanh(t, out=t)
+    t += 1.0
+    return t
+
+
+def apply_activation(name: str, buf, tmp=None) -> np.ndarray:
+    """Apply a named activation to ``buf`` **in place**.
+
+    The shared epilogue of the linear kernels.  ``tmp`` is optional
+    same-shape scratch; only ``gelu`` needs it (its tanh term must be
+    built while ``buf`` still holds x).
+    """
+    if name == "relu":
+        return np.maximum(buf, 0.0, out=buf)
+    if name == "sigmoid":
+        np.negative(buf, out=buf)
+        np.exp(buf, out=buf)
+        buf += 1.0
+        return np.divide(1.0, buf, out=buf)
+    if name == "tanh":
+        return np.tanh(buf, out=buf)
+    if name == "gelu":
+        buf *= _gelu_tanh_term(buf, tmp)
+        buf *= 0.5
+        return buf
+    raise ValueError(f"unknown activation {name!r}; "
+                     f"supported: {list(ACTIVATIONS)}")
+
+
+class ArrayBackend:
+    """The kernels a backend may replace, with numpy reference bodies.
+
+    Exactly the eleven kernels that a tuned backend overrides or that
+    :class:`~repro.obs.ProfilingBackend` times: ``matmul``, ``einsum``,
+    the linear family (``linear``, ``linear_act``, ``linear_q8``),
+    ``softmax``, ``log_softmax``, ``layer_norm``, ``gelu`` and the
+    convolution lowering (``conv_im2col`` / ``col2im``).  Everything else
+    the framework computes is plain numpy.  :class:`NumpyBackend` is the
+    reference implementation; subclasses override any subset.  Methods
+    accept and return plain ``np.ndarray`` — Tensors never cross this
+    boundary.
     """
 
     name = "abstract"
-
-    # -- creation / casting ------------------------------------------------
-    def asarray(self, value, dtype=None) -> np.ndarray:
-        return np.asarray(value, dtype=dtype)
-
-    def empty(self, shape, dtype=np.float32) -> np.ndarray:
-        return np.empty(shape, dtype=dtype)
-
-    def zeros(self, shape, dtype=np.float32) -> np.ndarray:
-        return np.zeros(shape, dtype=dtype)
-
-    def ones(self, shape, dtype=np.float32) -> np.ndarray:
-        return np.ones(shape, dtype=dtype)
-
-    def zeros_like(self, x) -> np.ndarray:
-        return np.zeros_like(x)
-
-    def ones_like(self, x) -> np.ndarray:
-        return np.ones_like(x)
-
-    def arange(self, n, dtype=None) -> np.ndarray:
-        return np.arange(n, dtype=dtype)
-
-    def rng(self, seed=None) -> np.random.Generator:
-        return np.random.default_rng(seed)
 
     # -- linear algebra ----------------------------------------------------
     def matmul(self, a, b, out=None) -> np.ndarray:
@@ -201,37 +229,6 @@ class ArrayBackend:
             y += bias
         return y.reshape(lead + (weight.shape[0],))
 
-    # Activations linear_act/linear_q8 may fuse as a post-GEMM epilogue.
-    ACTIVATIONS = ("gelu", "relu", "sigmoid", "tanh")
-
-    def apply_activation(self, name: str, buf, tmp=None) -> np.ndarray:
-        """Apply a named activation to ``buf`` **in place**.
-
-        ``tmp`` is optional same-shape scratch; only ``gelu`` needs it
-        (its tanh argument must be built while ``buf`` still holds x).
-        """
-        if name == "relu":
-            return np.maximum(buf, 0.0, out=buf)
-        if name == "sigmoid":
-            return self.sigmoid(buf, out=buf)
-        if name == "tanh":
-            return np.tanh(buf, out=buf)
-        if name == "gelu":
-            if tmp is None:
-                tmp = np.empty_like(buf)
-            np.multiply(buf, buf, out=tmp)
-            tmp *= buf                 # x*x*x (generic float pow is ~70x slower)
-            tmp *= 0.044715
-            tmp += buf
-            tmp *= _SQRT_2_OVER_PI
-            np.tanh(tmp, out=tmp)
-            tmp += 1.0
-            buf *= tmp
-            buf *= 0.5
-            return buf
-        raise ValueError(f"unknown activation {name!r}; "
-                         f"supported: {list(self.ACTIVATIONS)}")
-
     def linear_act(self, x, weight, bias=None, activation=None,
                    out=None) -> np.ndarray:
         """:meth:`linear` with an optional fused activation epilogue.
@@ -241,7 +238,7 @@ class ArrayBackend:
         """
         y = self.linear(x, weight, bias, out=out)
         if activation is not None:
-            self.apply_activation(activation, y)
+            apply_activation(activation, y)
         return y
 
     def linear_q8(self, x, weight_q8, scale, bias=None, activation=None,
@@ -264,121 +261,17 @@ class ArrayBackend:
         if bias is not None:
             y += bias
         if activation is not None:
-            self.apply_activation(activation, y)
+            apply_activation(activation, y)
         return y.reshape(lead + (n_out,))
 
-    # -- elementwise -------------------------------------------------------
-    def exp(self, x, out=None) -> np.ndarray:
-        return np.exp(x, out=out)
-
-    def log(self, x, out=None) -> np.ndarray:
-        return np.log(x, out=out)
-
-    def sqrt(self, x, out=None) -> np.ndarray:
-        return np.sqrt(x, out=out)
-
-    def tanh(self, x, out=None) -> np.ndarray:
-        return np.tanh(x, out=out)
-
-    def sigmoid(self, x, out=None) -> np.ndarray:
-        out = np.negative(x, out=out)
-        np.exp(out, out=out)
-        out += 1.0
-        return np.divide(1.0, out, out=out)
-
-    def relu(self, x, out=None) -> np.ndarray:
-        return np.maximum(x, 0.0, out=out)
-
-    def abs(self, x) -> np.ndarray:
-        return np.abs(x)
-
-    def sign(self, x) -> np.ndarray:
-        return np.sign(x)
-
-    def clip(self, x, lo, hi) -> np.ndarray:
-        return np.clip(x, lo, hi)
-
-    def maximum(self, a, b) -> np.ndarray:
-        return np.maximum(a, b)
-
-    def where(self, cond, a, b) -> np.ndarray:
-        return np.where(cond, a, b)
-
+    # -- fused elementwise / normalization kernels -------------------------
     def gelu(self, x, out=None) -> np.ndarray:
-        """Tanh-approximation GELU, fused and cube-by-multiplication.
+        """Tanh-approximation GELU (see :func:`_gelu_tanh_term`)."""
+        y = _gelu_tanh_term(x, out)
+        y *= x
+        y *= 0.5
+        return y
 
-        ``x ** 3`` hits numpy's generic float pow (~70x slower than two
-        multiplies for float32), so the cube is computed as ``x*x*x``.
-        """
-        buf = np.multiply(x, x, out=out)
-        buf *= x
-        buf *= 0.044715
-        buf += x
-        buf *= _SQRT_2_OVER_PI
-        np.tanh(buf, out=buf)
-        buf += 1.0
-        buf *= x
-        buf *= 0.5
-        return buf
-
-    # -- reductions --------------------------------------------------------
-    def sum(self, x, axis=None, keepdims=False) -> np.ndarray:
-        return x.sum(axis=axis, keepdims=keepdims)
-
-    def mean(self, x, axis=None, keepdims=False) -> np.ndarray:
-        return x.mean(axis=axis, keepdims=keepdims)
-
-    def max(self, x, axis=None, keepdims=False) -> np.ndarray:
-        return x.max(axis=axis, keepdims=keepdims)
-
-    def argmax(self, x, axis=None) -> np.ndarray:
-        return x.argmax(axis=axis)
-
-    def prod(self, values) -> float:
-        return float(np.prod(values))
-
-    # -- shape / indexing --------------------------------------------------
-    def pad(self, x, pad_width) -> np.ndarray:
-        return np.pad(x, pad_width)
-
-    def concatenate(self, arrays, axis=0) -> np.ndarray:
-        return np.concatenate(arrays, axis=axis)
-
-    def stack(self, arrays, axis=0) -> np.ndarray:
-        return np.stack(arrays, axis=axis)
-
-    def split(self, x, sections, axis=0) -> list[np.ndarray]:
-        return np.split(x, sections, axis=axis)
-
-    def squeeze(self, x, axis=None) -> np.ndarray:
-        return np.squeeze(x, axis=axis)
-
-    def expand_dims(self, x, axis) -> np.ndarray:
-        return np.expand_dims(x, axis)
-
-    def broadcast_to(self, x, shape) -> np.ndarray:
-        return np.broadcast_to(x, shape)
-
-    def ascontiguous(self, x) -> np.ndarray:
-        return np.ascontiguousarray(x)
-
-    def take_along_axis(self, x, indices, axis) -> np.ndarray:
-        return np.take_along_axis(x, indices, axis=axis)
-
-    def put_along_axis(self, x, indices, values, axis) -> None:
-        np.put_along_axis(x, indices, values, axis=axis)
-
-    def index_add(self, target, key, values) -> None:
-        """Scatter-add ``values`` into ``target[key]`` (duplicate-safe)."""
-        np.add.at(target, key, values)
-
-    def one_hot(self, labels, num_classes: int, dtype=np.float32) -> np.ndarray:
-        labels = np.asarray(labels, dtype=np.int64)
-        out = np.zeros((labels.shape[0], num_classes), dtype=dtype)
-        out[np.arange(labels.shape[0]), labels] = 1.0
-        return out
-
-    # -- fused normalization / softmax kernels -----------------------------
     def softmax(self, x, axis=-1, out=None) -> np.ndarray:
         shifted = np.subtract(x, x.max(axis=axis, keepdims=True), out=out)
         np.exp(shifted, out=shifted)
@@ -401,9 +294,6 @@ class ArrayBackend:
         centered *= weight
         centered += bias
         return centered
-
-    def batch_norm_stats(self, x, axes) -> tuple[np.ndarray, np.ndarray]:
-        return x.mean(axis=axes, keepdims=True), x.var(axis=axes, keepdims=True)
 
     # -- convolution lowering ----------------------------------------------
     def conv_im2col(self, x, kh: int, kw: int, stride: int, pad: int,

@@ -27,8 +27,9 @@ everything around the GEMM:
   scheduler affinity, so a single-core container degrades to the sequential
   path with zero overhead.
 
-Everything else (conv lowering, softmax, reductions) inherits the reference
-kernels, so the backend stays a drop-in: ``nn.set_backend("blocked")``.
+The other kernels (``gelu``, ``log_softmax``, the conv lowering) inherit
+the reference bodies, so the backend stays a drop-in:
+``nn.set_backend("blocked")``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ import weakref
 
 import numpy as np
 
-from .backend import NumpyBackend
+from .backend import NumpyBackend, apply_activation
 
 
 # exp(_EXP_CLIP) stays finite in fp32 with headroom for the softmax sum.
@@ -170,7 +171,7 @@ class BlockedBackend(NumpyBackend):
             if bias is not None:
                 block += bias
             if activation is not None:
-                self.apply_activation(
+                apply_activation(
                     activation, block,
                     tmp=self._tmp("epilogue", block.shape, block.dtype))
 
@@ -233,8 +234,8 @@ class BlockedBackend(NumpyBackend):
                 if bias is not None:
                     y[:, j:hi] += bias[j:hi]
         if activation is not None:
-            self.apply_activation(activation, y,
-                                  tmp=self._tmp("epilogue", y.shape, y.dtype))
+            apply_activation(activation, y,
+                             tmp=self._tmp("epilogue", y.shape, y.dtype))
         return y.reshape(lead + (n_out,))
 
     # -- fused softmax -----------------------------------------------------

@@ -137,33 +137,46 @@ class Histogram:
         if not 0.0 <= q <= 1.0:
             raise ValueError("q must be in [0, 1]")
         with self._lock:
-            if self._count == 0:
-                return None
-            rank = q * self._count
-            seen = 0
-            for index, bucket in enumerate(self._counts):
-                if bucket == 0:
-                    continue
-                if seen + bucket >= rank:
-                    lo = 0.0 if index == 0 else self.bounds[index - 1]
-                    hi = self.bounds[index] if index < len(self.bounds) \
-                        else (self._max if self._max is not None else lo)
-                    frac = (rank - seen) / bucket
-                    return lo + (hi - lo) * min(max(frac, 0.0), 1.0)
-                seen += bucket
-            return self._max
+            return _bucket_quantile(self.bounds, self._counts, self._count,
+                                    self._min, self._max, q)
 
     def snapshot(self) -> dict:
+        """Counts, moments and p50/p95/p99 from one lock acquisition."""
         with self._lock:
             count, total = self._count, self._sum
             counts = list(self._counts)
             lo, hi = self._min, self._max
+        p50, p95, p99 = (
+            _bucket_quantile(self.bounds, counts, count, lo, hi, q)
+            for q in (0.5, 0.95, 0.99))
         mean = total / count if count else None
         return {"type": "histogram", "count": count, "sum": total,
                 "mean": mean, "min": lo, "max": hi,
-                "p50": self.quantile(0.5), "p95": self.quantile(0.95),
-                "p99": self.quantile(0.99),
+                "p50": p50, "p95": p95, "p99": p99,
                 "bounds": list(self.bounds), "buckets": counts}
+
+
+def _bucket_quantile(bounds, counts, count, lo, hi, q) -> float | None:
+    """Interpolate quantile ``q`` inside its bucket, clamped to [lo, hi].
+
+    Without the clamp, interpolation inside the first or last occupied
+    bucket reaches past the data (e.g. below a minimum that sits on a
+    bucket's upper bound).
+    """
+    if count == 0:
+        return None
+    rank = q * count
+    seen = 0
+    for index, bucket in enumerate(counts):
+        if bucket == 0:
+            continue
+        if seen + bucket >= rank:
+            left = 0.0 if index == 0 else bounds[index - 1]
+            right = bounds[index] if index < len(bounds) else hi
+            frac = min(max((rank - seen) / bucket, 0.0), 1.0)
+            return min(max(left + (right - left) * frac, lo), hi)
+        seen += bucket
+    return hi
 
 
 def _series_key(name: str, labels: dict) -> str:

@@ -3,11 +3,9 @@
 :class:`ProfilingBackend` wraps any registered backend (numpy, blocked,
 ...) and records per-kernel wall time and bytes moved for the kernels
 that dominate transformer inference — matmul/einsum, the fused linear
-family, softmax/log-softmax, layer-norm, and the im2col lowering.  All
-other primitives delegate straight to the wrapped backend with no
-overhead: the constructor binds the inner backend's bound methods as
-*instance attributes*, which shadow the class methods, so untimed calls
-are a single attribute hop.
+family, softmax/log-softmax, layer-norm, and the im2col lowering.  The
+other two ``ArrayBackend`` kernels, ``gelu`` and ``col2im``, pass through
+to the wrapped backend untimed.
 
 Metrics land in the global :class:`~repro.obs.metrics.MetricsRegistry`
 as ``kernel.<op>_seconds{backend=<inner>}`` histograms and
@@ -37,8 +35,9 @@ import numpy as np
 from ..nn.backend import ArrayBackend
 from .metrics import get_registry
 
-# The kernels worth timing: everything else is glue (reshapes, casts,
-# elementwise ops already fused inside these, RNG).
+# The kernels worth timing.  gelu and col2im pass through untimed: the
+# ViT inference path fuses gelu into linear_act, and col2im only runs in
+# backward.
 PROFILED_KERNELS = ("matmul", "einsum", "linear", "linear_act",
                     "linear_q8", "softmax", "log_softmax", "layer_norm",
                     "conv_im2col")
@@ -71,15 +70,6 @@ class ProfilingBackend(ArrayBackend):
         self._bytes = {op: registry.counter(f"kernel.{op}_bytes_total",
                                             backend=inner.name)
                        for op in PROFILED_KERNELS}
-        # Fast-path delegation: bind every public inner method that we do
-        # not time as an instance attribute, shadowing our inherited
-        # (reference numpy) implementations.
-        for attr in dir(inner):
-            if attr.startswith("_") or attr in PROFILED_KERNELS:
-                continue
-            value = getattr(inner, attr)
-            if callable(value):
-                object.__setattr__(self, attr, value)
 
     def _observe(self, op: str, t0: float, nbytes: int) -> None:
         self._seconds[op].observe(time.perf_counter() - t0)
@@ -143,3 +133,10 @@ class ProfilingBackend(ArrayBackend):
                                                     out=out)
         self._observe("conv_im2col", t0, _nbytes(x, cols))
         return cols, out_h, out_w
+
+    # -- untimed pass-through ---------------------------------------------
+    def gelu(self, x, out=None):
+        return self.inner.gelu(x, out=out)
+
+    def col2im(self, cols, x_shape, kh, kw, stride, pad):
+        return self.inner.col2im(cols, x_shape, kh, kw, stride, pad)

@@ -1,5 +1,5 @@
 """Paper-anchor regression tests: every headline number the reproduction
-should land near, in one place.  See EXPERIMENTS.md for the full ledger."""
+should land near, in one place."""
 
 import pytest
 

@@ -1,6 +1,8 @@
 """Metrics-registry unit tests: instruments, series keys, snapshots."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
     Counter,
@@ -58,12 +60,47 @@ class TestHistogram:
         with pytest.raises(ValueError):
             h.quantile(1.5)
 
+    def test_quantile_never_below_observed_min(self):
+        # 1.0 sits on a bucket's upper bound: interpolating inside
+        # (0.5, 1.0] used to report p50 = 0.9 with min = 1.0.
+        h = Histogram(bounds=(0.5, 1.0, 2.0, 4.0, 8.0))
+        for value in [1.0] * 5 + [2.0] * 3:
+            h.observe(value)
+        assert h.quantile(0.5) == 1.0
+        assert h.snapshot()["p50"] == 1.0
+
     def test_empty_quantile_is_none(self):
         h = Histogram()
         assert h.quantile(0.95) is None
         snap = h.snapshot()
         assert snap["count"] == 0 and snap["p95"] is None
         assert snap["mean"] is None
+
+
+_BOUNDS = st.lists(st.floats(0.0, 100.0), min_size=1, max_size=8,
+                   unique=True).map(sorted)
+_VALUES = st.lists(st.floats(-10.0, 200.0), min_size=1, max_size=40)
+_QS = st.lists(st.floats(0.0, 1.0), min_size=2, max_size=8)
+
+
+class TestHistogramQuantileProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(bounds=_BOUNDS, values=_VALUES, qs=_QS)
+    def test_inside_observed_range(self, bounds, values, qs):
+        h = Histogram(bounds=tuple(bounds))
+        for value in values:
+            h.observe(value)
+        for q in qs:
+            assert min(values) <= h.quantile(q) <= max(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bounds=_BOUNDS, values=_VALUES, qs=_QS)
+    def test_monotone_in_q(self, bounds, values, qs):
+        h = Histogram(bounds=tuple(bounds))
+        for value in values:
+            h.observe(value)
+        estimates = [h.quantile(q) for q in sorted(qs)]
+        assert estimates == sorted(estimates)
 
 
 class TestSeriesKeys:

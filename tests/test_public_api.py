@@ -43,7 +43,7 @@ MODULES = SUBPACKAGES + [
     "repro.edge.device", "repro.edge.network", "repro.edge.sim_core",
     "repro.edge.simulator", "repro.edge.runtime",
     "repro.core.training", "repro.core.edvit", "repro.core.metrics",
-    "repro.core.experiments", "repro.core.deployment_io",
+    "repro.core.experiments",
     "repro.baselines.split_cnn", "repro.baselines.split_snn",
     "repro.serving.batcher", "repro.serving.server", "repro.serving.loadgen",
     "repro.serving.telemetry", "repro.serving.demo",
