@@ -118,8 +118,8 @@ def test_edge_cluster_roundtrip(benchmark):
     cfg = ViTConfig(image_size=8, patch_size=4, num_classes=3, depth=1,
                     embed_dim=8, num_heads=2)
     model = VisionTransformer(cfg, rng=np.random.default_rng(0))
-    spec = WorkerSpec.from_vit(
-        "w0", model, flops_per_sample=1e6,
+    spec = WorkerSpec.from_model(
+        "w0", model, "vit", flops_per_sample=1e6,
         device=DeviceModel("w0", macs_per_second=1e12),
         link=LinkModel(bandwidth_bps=1e9, overhead_seconds=0.0))
     x = np.zeros((1, 3, 8, 8), dtype=np.float32)

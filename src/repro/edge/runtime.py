@@ -176,16 +176,6 @@ class WorkerSpec:
         )
 
     @staticmethod
-    def from_vit(worker_id: str, model: VisionTransformer,
-                 flops_per_sample: float, device: DeviceModel,
-                 link: LinkModel | None = None,
-                 batch_size: int = 64,
-                 codec: str = "raw32") -> "WorkerSpec":
-        return WorkerSpec.from_model(worker_id, model, "vit",
-                                     flops_per_sample, device, link,
-                                     batch_size, codec)
-
-    @staticmethod
     def from_plan(plan, model_id: str, model: nn.Module,
                   batch_size: int = 64,
                   worker_id: str | None = None) -> "WorkerSpec":
@@ -342,7 +332,8 @@ class EdgeCluster:
       :meth:`infer_fused`, which raises :class:`WorkerFailure` on a dead,
       erroring, or timed-out worker instead of hanging; and
     * the non-blocking primitives :meth:`submit` / :meth:`poll` /
-      :meth:`mark_down`, which the serving layer
+      :meth:`mark_down` and the reply loop :meth:`gather` (which
+      :meth:`infer_features` shares), which the serving layer
       (:mod:`repro.serving`) uses to drive all workers concurrently and
       keep answering in degraded mode when some of them die.
 
@@ -741,6 +732,57 @@ class EdgeCluster:
         return replies
 
     # ------------------------------------------------------------------
+    def gather(self, request_id: int, workers: list[str],
+               deadline: float | None,
+               poll_interval: float = 0.05, *, late_reason: str,
+               ) -> tuple[dict[str, np.ndarray], dict[str, dict],
+                          dict[str, str]]:
+        """Wait until each of ``workers`` answered ``request_id`` or failed.
+
+        Returns ``(features, stats, failures)``; ``failures`` maps a
+        worker id to why it gave no features.  Stale replies are skipped;
+        an ERROR reply fails this request only (the worker stays up).  A
+        dead worker with nothing buffered is marked down, and so is every
+        worker still pending at the ``perf_counter`` ``deadline`` (with
+        ``late_reason``; ``None`` waits as long as workers live).
+        """
+        pending = set(workers)
+        features: dict[str, np.ndarray] = {}
+        stats: dict[str, dict] = {}
+        failures: dict[str, str] = {}
+        while pending:
+            step = poll_interval
+            if deadline is not None:
+                step = min(step, max(0.0, deadline - time.perf_counter()))
+            for worker_id, message in self.poll(step):
+                if worker_id not in pending \
+                        or wire.request_id(message) != request_id:
+                    continue           # stale reply from an aborted request
+                if wire.command(message) == wire.FEATURES:
+                    features[worker_id] = wire.payload(message)
+                    stats[worker_id] = wire.stats(message)
+                elif wire.command(message) == wire.ERROR:
+                    failures[worker_id] = str(wire.payload(message))
+                else:
+                    continue
+                pending.discard(worker_id)
+            for worker_id in sorted(pending):
+                if not self.is_alive(worker_id) \
+                        and not self.has_buffered_reply(worker_id):
+                    # Dead with nothing buffered: it can never reply.
+                    # mark_down keeps an earlier reason (e.g. pipe EOF).
+                    self.mark_down(worker_id, "process died mid-request")
+                    failures[worker_id] = self._down.get(
+                        worker_id, "process died mid-request")
+                    pending.discard(worker_id)
+            if pending and deadline is not None \
+                    and time.perf_counter() >= deadline:
+                for worker_id in sorted(pending):
+                    self.mark_down(worker_id, late_reason)
+                    failures[worker_id] = late_reason
+                pending.clear()
+        return features, stats, failures
+
     def infer_features(self, x: np.ndarray, timeout: float | None = 60.0,
                        ) -> tuple[dict[str, np.ndarray], InferenceTiming]:
         """Scatter ``x`` to all workers; gather per-worker feature arrays.
@@ -754,7 +796,6 @@ class EdgeCluster:
             raise RuntimeError("cluster not started; use start() or a with-block")
         start = time.perf_counter()
         request_id = self.next_request_id()
-        pending: set[str] = set()
         for spec in self._specs:
             worker_id = spec.worker_id
             if worker_id in self._down:
@@ -762,44 +803,13 @@ class EdgeCluster:
             if not self.submit(worker_id, request_id, x):
                 raise WorkerFailure(worker_id,
                                     self._down.get(worker_id, "dispatch failed"))
-            pending.add(worker_id)
-        deadline = None if timeout is None else start + timeout
-
-        features: dict[str, np.ndarray] = {}
-        per_worker: dict[str, dict[str, float]] = {}
-        while pending:
-            step = 0.05
-            if deadline is not None:
-                step = min(step, max(0.0, deadline - time.perf_counter()))
-            for worker_id, message in self.poll(step):
-                if worker_id not in pending:
-                    continue
-                if wire.command(message) == wire.ERROR:
-                    # Stale errors from an earlier aborted request carry
-                    # that request's id — skip them, they already raised.
-                    reply_id = wire.request_id(message)
-                    if reply_id is not None and reply_id != request_id:
-                        continue
-                    raise WorkerFailure(worker_id, str(wire.payload(message)))
-                if wire.command(message) != wire.FEATURES \
-                        or wire.request_id(message) != request_id:
-                    continue           # stale reply from an aborted request
-                features[worker_id] = wire.payload(message)
-                per_worker[worker_id] = wire.stats(message)
-                pending.discard(worker_id)
-            for worker_id in sorted(pending):
-                if worker_id in self._down:
-                    raise WorkerFailure(worker_id, self._down[worker_id])
-                if not self.is_alive(worker_id) \
-                        and not self.has_buffered_reply(worker_id):
-                    # Dead worker with nothing buffered: it can never reply.
-                    self.mark_down(worker_id, "process died mid-request")
-                    raise WorkerFailure(worker_id, "process died mid-request")
-            if pending and deadline is not None \
-                    and time.perf_counter() >= deadline:
-                worker_id = sorted(pending)[0]
-                self.mark_down(worker_id, f"no reply within {timeout}s")
-                raise WorkerFailure(worker_id, f"no reply within {timeout}s")
+        features, per_worker, failures = self.gather(
+            request_id, self.worker_ids,
+            None if timeout is None else start + timeout,
+            late_reason=f"no reply within {timeout}s")
+        if failures:
+            worker_id = min(failures)
+            raise WorkerFailure(worker_id, failures[worker_id])
         timing = InferenceTiming(wall_seconds=time.perf_counter() - start,
                                  per_worker=per_worker)
         return features, timing

@@ -21,13 +21,7 @@ import time
 
 import numpy as np
 
-from ..obs.metrics import get_registry
-from ..obs.trace import get_tracer, tracing_enabled
 from .telemetry import RequestTelemetry
-
-# Batch occupancy is small-integer valued; these bounds make the
-# histogram read as "how often did we flush at size <= N".
-BATCH_SAMPLES_BOUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 
 class RequestError(RuntimeError):
@@ -75,9 +69,30 @@ class ServedFuture:
 
 @dataclasses.dataclass
 class Batch:
-    """A set of coalesced requests dispatched as one fused forward."""
+    """Coalesced requests dispatched as one fused forward, and the one
+    timing record of that batch: the batcher stamps formation, the server
+    the rest, and ``InferenceServer._finish`` derives telemetry, metrics
+    and spans from it.  Times are ``perf_counter`` except ``*_wall`` (unix
+    s); ``dispatched_at == 0`` means never dispatched.
+    """
 
     requests: list[ServedFuture]
+    formed_wall: float = 0.0           # first request taken off the queue
+    form_s: float = 0.0                # ...until the batch closed
+    dispatched_at: float = 0.0
+    dispatched_wall: float = 0.0
+    batch_id: int | None = None        # scatter request id = trace id
+    span_id: str | None = None         # batch.serve span, minted pre-dispatch
+    workers: int = 0                   # hosting workers at dispatch
+    gather_s: float = 0.0              # scatter -> last reply or failure
+    fusion_at: float = 0.0
+    fusion_s: float = 0.0
+    completed_at: float = 0.0
+    emulated_compute_s: float = 0.0    # slowest worker's emulated compute
+    emulated_transfer_s: float = 0.0   # slowest worker's emulated transfer
+    bytes_out: int = 0                 # input bytes scattered
+    bytes_in: int = 0                  # encoded feature bytes gathered
+    missing: tuple[str, ...] = ()      # fusion slots without features
 
     @property
     def sizes(self) -> list[int]:
@@ -108,10 +123,6 @@ class DynamicBatcher:
         self._queue: "queue.Queue[ServedFuture]" = queue.Queue(
             maxsize=self.config.queue_capacity)
         self._closed = threading.Event()
-        registry = get_registry()
-        self._queue_depth = registry.gauge("serving.queue_depth")
-        self._occupancy = registry.histogram("serving.batch_samples",
-                                             bounds=BATCH_SAMPLES_BOUNDS)
 
     # -- client side ----------------------------------------------------
     def submit(self, future: ServedFuture) -> None:
@@ -174,13 +185,5 @@ class DynamicBatcher:
                 break
             requests.append(nxt)
             num_samples += len(nxt.x)
-        self._queue_depth.set(self._queue.qsize())
-        self._occupancy.observe(num_samples)
-        if tracing_enabled():
-            # Batch formation belongs to the trace of the request that
-            # opened the batch (the one that waited for coalescing).
-            get_tracer().emit(
-                "batch.form", trace_id=first.request_id,
-                ts=form_wall, duration_s=time.perf_counter() - form_t0,
-                attrs={"requests": len(requests), "samples": num_samples})
-        return Batch(requests=requests)
+        return Batch(requests=requests, formed_wall=form_wall,
+                     form_s=time.perf_counter() - form_t0)

@@ -133,7 +133,6 @@ def run_load(server: InferenceServer, input_shape: tuple[int, ...],
 def _collect(server: InferenceServer, config: LoadgenConfig,
              futures: list[ServedFuture], dropped: int,
              wall_seconds: float, offered_rps: float,
-             records_before: int,
              started_at: float | None = None) -> LoadgenResult:
     latencies: list[float] = []
     errors = 0
@@ -143,9 +142,6 @@ def _collect(server: InferenceServer, config: LoadgenConfig,
             latencies.append(future.telemetry.total_s)
         except Exception:
             errors += 1
-    # Scope the report to THIS run's records (the server may have served
-    # earlier runs — e.g. previous rates of a sweep — on the same stats).
-    run_records = server.records()[records_before:]
     return LoadgenResult(
         config=config,
         offered_rps=offered_rps,
@@ -154,8 +150,11 @@ def _collect(server: InferenceServer, config: LoadgenConfig,
         errors=errors,
         dropped=dropped,
         latencies_s=latencies,
+        # The run's own futures scope the report to this run: the server's
+        # record buffer is bounded and shared with other runs and clients.
         report=ServingReport.from_records(
-            run_records, wall_seconds=wall_seconds,
+            [f.telemetry for f in futures if f.done()],
+            wall_seconds=wall_seconds,
             worker_health=server.worker_health(),
             started_at=started_at),
         futures=futures,
@@ -181,7 +180,6 @@ def _run_open_loop(server: InferenceServer, config: LoadgenConfig,
     rng = np.random.default_rng(config.seed)
     futures: list[ServedFuture] = []
     dropped = 0
-    records_before = len(server.records())
     started_at = time.time()
     start = time.perf_counter()
     next_arrival = start
@@ -210,8 +208,7 @@ def _run_open_loop(server: InferenceServer, config: LoadgenConfig,
     else:                              # trace: mean rate over the span
         offered = (len(offsets) / offsets[-1]) if offsets[-1] > 0 else None
     return _collect(server, config, futures, dropped, wall,
-                    offered_rps=offered,
-                    records_before=records_before, started_at=started_at)
+                    offered_rps=offered, started_at=started_at)
 
 
 def _run_closed_loop(server: InferenceServer, config: LoadgenConfig,
@@ -219,7 +216,6 @@ def _run_closed_loop(server: InferenceServer, config: LoadgenConfig,
     futures: list[ServedFuture] = []
     futures_lock = threading.Lock()
     counter = {"next": 0, "dropped": 0}
-    records_before = len(server.records())
 
     def client(seed: int) -> None:
         rng = np.random.default_rng(seed)
@@ -253,8 +249,7 @@ def _run_closed_loop(server: InferenceServer, config: LoadgenConfig,
         thread.join()
     wall = time.perf_counter() - start
     return _collect(server, config, futures, counter["dropped"], wall,
-                    offered_rps=None,
-                    records_before=records_before, started_at=started_at)
+                    offered_rps=None, started_at=started_at)
 
 
 def sweep_offered_load(server: InferenceServer, input_shape: tuple[int, ...],

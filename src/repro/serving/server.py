@@ -5,8 +5,8 @@ The server owns three moving parts:
 * a :class:`~repro.serving.batcher.DynamicBatcher` that coalesces
   concurrent single-image requests into fused batches;
 * a dispatcher thread that scatters each batch to every live worker at
-  once and gathers replies by polling all pipes concurrently
-  (``EdgeCluster.submit`` / ``EdgeCluster.poll``), so one slow device
+  once and gathers the replies from all pipes concurrently
+  (``EdgeCluster.submit`` / ``EdgeCluster.gather``), so one slow device
   never serializes the gather; and
 * failure-aware fusion: a worker that times out, errors, or dies is
   marked down and its feature slot is zero-filled, so the fleet keeps
@@ -22,9 +22,11 @@ down; it may spawn replacement workers (``EdgeCluster.add_worker``) and
 return a new slot→worker hosting map, after which fusion recovers real
 features for the failed slots instead of zero-filling them forever.
 
-Every request carries a :class:`~repro.serving.telemetry.RequestTelemetry`
-breakdown; :meth:`InferenceServer.stats` aggregates them into a
-:class:`~repro.serving.telemetry.ServingReport`.
+Each :class:`~repro.serving.batcher.Batch` is its own timing record, and
+every outcome goes through ``InferenceServer._finish``, which derives each
+request's :class:`~repro.serving.telemetry.RequestTelemetry`, the serving
+metrics and the spans from it; :meth:`InferenceServer.stats` aggregates
+the telemetry into a :class:`~repro.serving.telemetry.ServingReport`.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from typing import Callable
 import numpy as np
 
 from ..core.inference import predict, split_batch
-from ..edge import wire
 from ..edge.runtime import EdgeCluster, WorkerSpec
 from ..obs.metrics import get_registry
 from ..obs.trace import get_tracer, new_span_id, tracing_enabled
@@ -50,6 +51,10 @@ from .batcher import (
     ServedFuture,
 )
 from .telemetry import RequestTelemetry, ServingReport
+
+# Batch occupancy is small-integer valued; these bounds make the
+# histogram read as "how often did we flush at size <= N".
+BATCH_SAMPLES_BOUNDS = (1, 2, 4, 8, 16, 32, 64, 128, 256)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -100,6 +105,9 @@ class InferenceServer:
         self._m_failed = registry.counter("serving.failed_total")
         self._m_degraded = registry.counter("serving.degraded_total")
         self._m_swaps = registry.counter("serving.swaps_total")
+        self._m_queue_depth = registry.gauge("serving.queue_depth")
+        self._m_batch_samples = registry.histogram(
+            "serving.batch_samples", bounds=BATCH_SAMPLES_BOUNDS)
 
     # ------------------------------------------------------------------
     def start(self) -> None:
@@ -148,10 +156,7 @@ class InferenceServer:
         # Cluster shutdown clears its down-map; freeze health for
         # post-stop stats()/worker_health() calls.
         self._health_snapshot = self.worker_health()
-        for future in self._batcher.drain():
-            future.telemetry.completed_at = time.perf_counter()
-            future.set_error(RequestError("server stopped"))
-            self._record(future.telemetry)
+        self._finish(Batch(self._batcher.drain()), error="server stopped")
         if shutdown_cluster:
             self._cluster.shutdown()
 
@@ -315,58 +320,27 @@ class InferenceServer:
             worker_health=self.worker_health(),
             started_at=self._started_wall, metrics=metrics)
 
-    def _record(self, telemetry: RequestTelemetry) -> None:
-        with self._lock:
-            self._records.append(telemetry)
-
     # ------------------------------------------------------------------
     def _serve_loop(self) -> None:
         while True:
             batch = self._batcher.next_batch(self.config.poll_interval_s)
             if batch is None:
                 return
+            self._m_queue_depth.set(self._batcher.pending())
             try:
                 self._serve_batch(batch)
             except Exception as exc:   # a bad batch must not kill the server
-                now = time.perf_counter()
-                for future in batch.requests:
-                    future.telemetry.completed_at = now
-                    future.set_error(RequestError(f"serving failed: {exc}"))
-                    self._record(future.telemetry)
-                self._m_failed.inc(len(batch.requests))
+                # One raised after _finish (e.g. while replanning) must
+                # not account the batch a second time.
+                if not batch.completed_at:
+                    self._finish(batch, error=f"serving failed: {exc}")
             finally:
                 with self._hosting_lock:
                     self._inflight_hosts = set()
 
-    def _trace_requests(self, batch: Batch, batch_id: int) -> None:
-        """Retroactively emit per-request spans from telemetry the serve
-        path measured anyway (no double timing)."""
-        tracer = get_tracer()
-        for future in batch.requests:
-            t = future.telemetry
-            root = new_span_id()
-            attrs = {"batch_id": batch_id, "samples": t.num_samples}
-            if t.degraded:
-                attrs["degraded"] = True
-            if t.error is not None:
-                attrs["error"] = t.error
-            tracer.emit("request", trace_id=t.request_id, span_id=root,
-                        ts=t.enqueued_wall, duration_s=t.total_s,
-                        attrs=attrs)
-            tracer.emit("request.queue", trace_id=t.request_id,
-                        parent_id=root, ts=t.enqueued_wall,
-                        duration_s=t.queue_s)
-
     def _serve_batch(self, batch: Batch) -> None:
-        traced = tracing_enabled()
-        dispatched_at = time.perf_counter()
-        dispatched_wall = time.time()
-        for future in batch.requests:
-            telemetry = future.telemetry
-            telemetry.dispatched_at = dispatched_at
-            telemetry.queue_s = dispatched_at - telemetry.enqueued_at
-            telemetry.batch_requests = len(batch.requests)
-            telemetry.batch_samples = batch.num_samples
+        batch.dispatched_at = time.perf_counter()
+        batch.dispatched_wall = time.time()
         x = batch.concatenated()
 
         # Snapshot the hosting map for this whole batch: a rolling swap
@@ -380,154 +354,159 @@ class InferenceServer:
         # Scatter to every live hosting worker under one shared request id.
         # The batch span id is minted *before* dispatch so worker-process
         # spans can parent to it via the propagated trace context; the
-        # span itself is emitted retroactively once the batch resolves.
-        request_id = self._cluster.next_request_id()
-        batch_span_id = new_span_id() if traced else None
-        trace_ctx = {"trace_id": request_id,
-                     "parent_id": batch_span_id} if traced else None
+        # span itself is emitted by _finish once the batch resolves.
+        batch.batch_id = self._cluster.next_request_id()
+        trace_ctx = None
+        if tracing_enabled():
+            batch.span_id = new_span_id()
+            trace_ctx = {"trace_id": batch.batch_id,
+                         "parent_id": batch.span_id}
         hosts = sorted(set(hosting.values()))
-        pending: set[str] = set()
-        for worker_id in hosts:
-            # submit() detects dead processes / closed pipes itself and
-            # marks the worker down, so no liveness pre-check here.
-            if self._cluster.submit(worker_id, request_id, x,
-                                    trace=trace_ctx):
-                pending.add(worker_id)
-        bytes_out = x.nbytes * len(pending)
-        if not pending:
+        batch.workers = len(hosts)
+        # submit() detects dead processes / closed pipes itself and marks
+        # the worker down, so no liveness pre-check here.
+        sent = [worker_id for worker_id in hosts
+                if self._cluster.submit(worker_id, batch.batch_id, x,
+                                        trace=trace_ctx)]
+        batch.bytes_out = x.nbytes * len(sent)
+        if not sent:
             # Whole fleet down: answering from an all-zeros fusion input
             # would be a constant-label lie — fail loudly instead.
-            now = time.perf_counter()
-            for future in batch.requests:
-                future.telemetry.completed_at = now
-                future.telemetry.workers_down = tuple(self._slots)
-                future.set_error(RequestError("no live workers"))
-                self._record(future.telemetry)
-            self._m_failed.inc(len(batch.requests))
-            if traced:
-                self._trace_requests(batch, request_id)
+            batch.missing = tuple(self._slots)
+            self._finish(batch, error="no live workers")
             self._maybe_replan()
             return
 
-        # Gather concurrently: poll all pipes, detect deaths and deadline
-        # misses, and degrade instead of hanging.
-        features: dict[str, np.ndarray] = {}
-        stats: dict[str, dict[str, float]] = {}
-        deadline = dispatched_at + self.config.worker_timeout_s
-        while pending:
-            step = min(self.config.poll_interval_s,
-                       max(0.0, deadline - time.perf_counter()))
-            for worker_id, message in self._cluster.poll(step):
-                if worker_id not in pending:
-                    continue           # stale reply from an aborted batch
-                if wire.command(message) == wire.FEATURES \
-                        and wire.request_id(message) == request_id:
-                    features[worker_id] = wire.payload(message)
-                    stats[worker_id] = wire.stats(message)
-                    pending.discard(worker_id)
-                elif wire.command(message) == wire.ERROR \
-                        and wire.request_id(message) == request_id:
-                    # Per-request failure: the worker itself survives (its
-                    # loop keeps serving), so only this batch degrades —
-                    # its feature slot is zero-filled below.
-                    pending.discard(worker_id)
-            for worker_id in list(pending):
-                if not self._cluster.is_alive(worker_id) \
-                        and not self._cluster.has_buffered_reply(worker_id):
-                    self._cluster.mark_down(worker_id, "process died mid-request")
-                    pending.discard(worker_id)
-            if pending and time.perf_counter() >= deadline:
-                for worker_id in pending:
-                    self._cluster.mark_down(
-                        worker_id,
-                        f"no reply within {self.config.worker_timeout_s}s")
-                pending.clear()
-        gather_s = time.perf_counter() - dispatched_at
-
+        # A worker that errors, dies or misses the deadline just leaves
+        # its slots without features.
+        features, stats, _ = self._cluster.gather(
+            batch.batch_id, sent,
+            batch.dispatched_at + self.config.worker_timeout_s,
+            self.config.poll_interval_s,
+            late_reason=f"no reply within {self.config.worker_timeout_s}s")
+        batch.gather_s = time.perf_counter() - batch.dispatched_at
+        batch.missing = tuple(slot for slot in self._slots
+                              if hosting[slot] not in features)
         if not features:
             # Every dispatched worker errored (or died) on this batch —
             # answering from an all-zeros fusion would fabricate a
             # constant label, so fail these requests loudly instead.
-            now = time.perf_counter()
-            for future in batch.requests:
-                future.telemetry.completed_at = now
-                future.telemetry.gather_s = gather_s
-                future.set_error(RequestError(
-                    "no worker produced features for this batch"))
-                self._record(future.telemetry)
-            self._m_failed.inc(len(batch.requests))
-            if traced:
-                self._trace_requests(batch, request_id)
+            self._finish(batch,
+                         error="no worker produced features for this batch")
             return
 
         # Degraded fusion: zero-fill the feature slot of every sub-model
         # whose hosting worker did not answer, preserving the concatenation
         # layout the fusion MLP was trained on.
-        missing = tuple(slot for slot in self._slots
-                        if hosting[slot] not in features)
-        ordered = []
-        for slot in self._slots:
-            host = hosting[slot]
-            if host in features:
-                ordered.append(features[host])
-            else:
-                ordered.append(np.zeros(
-                    (len(x), self._slot_dims[slot]), dtype=np.float32))
-        fusion_start = time.perf_counter()
+        ordered = [features[hosting[slot]] if hosting[slot] in features
+                   else np.zeros((len(x), self._slot_dims[slot]),
+                                 dtype=np.float32)
+                   for slot in self._slots]
+        batch.fusion_at = time.perf_counter()
         logits = predict(self._fusion, np.concatenate(ordered, axis=-1),
                          keep_workspaces=True)
-        fusion_s = time.perf_counter() - fusion_start
-
-        emulated_compute = max((s["emulated_compute_s"]
-                                for s in stats.values()), default=0.0)
-        emulated_transfer = max((s["emulated_transfer_s"]
-                                 for s in stats.values()), default=0.0)
-        # Wire accounting: inputs out to every dispatched worker, encoded
-        # features back from every answering one — apportioned to the
-        # coalesced requests by their share of the batch's samples.
-        wire_in = int(sum(s.get("bytes_out", 0.0) for s in stats.values()))
-        completed_at = time.perf_counter()
-        labels = logits.argmax(axis=-1)
-        for future, chunk in zip(batch.requests,
-                                 split_batch(labels, batch.sizes)):
-            telemetry = future.telemetry
-            telemetry.completed_at = completed_at
-            telemetry.gather_s = gather_s
-            telemetry.fusion_s = fusion_s
-            telemetry.emulated_compute_s = emulated_compute
-            telemetry.emulated_transfer_s = emulated_transfer
-            share = telemetry.num_samples / max(batch.num_samples, 1)
-            telemetry.bytes_out = int(round(bytes_out * share))
-            telemetry.bytes_in = int(round(wire_in * share))
-            telemetry.degraded = bool(missing)
-            telemetry.workers_down = missing
-            future.set_result(chunk.copy())
-            self._record(telemetry)
-        if missing:
-            self._m_degraded.inc(len(batch.requests))
-
-        if traced:
-            tracer = get_tracer()
-            tracer.emit("batch.serve", trace_id=request_id,
-                        span_id=batch_span_id, ts=dispatched_wall,
-                        duration_s=completed_at - dispatched_at,
-                        attrs={"requests": len(batch.requests),
-                               "samples": batch.num_samples,
-                               "workers": len(hosts),
-                               "degraded": bool(missing)})
-            tracer.emit("batch.gather", trace_id=request_id,
-                        parent_id=batch_span_id, ts=dispatched_wall,
-                        duration_s=gather_s)
-            tracer.emit("batch.fusion", trace_id=request_id,
-                        parent_id=batch_span_id,
-                        ts=dispatched_wall + (fusion_start - dispatched_at),
-                        duration_s=fusion_s)
-            self._trace_requests(batch, request_id)
+        batch.fusion_s = time.perf_counter() - batch.fusion_at
+        batch.emulated_compute_s = max(s["emulated_compute_s"]
+                                       for s in stats.values())
+        batch.emulated_transfer_s = max(s["emulated_transfer_s"]
+                                        for s in stats.values())
+        batch.bytes_in = int(sum(s.get("bytes_out", 0.0)
+                                 for s in stats.values()))
+        self._finish(batch, labels=logits.argmax(axis=-1))
 
         # Degraded answers went out above; now try to recover the failed
         # slots so the *next* batch fuses real features again.
-        if missing:
+        if batch.missing:
             self._maybe_replan()
+
+    def _finish(self, batch: Batch, labels: np.ndarray | None = None,
+                error: str | None = None) -> None:
+        """Account one batch outcome: the only place any outcome is.
+
+        ``labels`` serve the batch (degraded when ``batch.missing``),
+        ``error`` fails it.  From the batch record alone this fills and
+        records the requests' telemetry, bumps the counters, resolves the
+        futures and emits the spans, so report, metrics and trace agree.
+        ``stop()``'s never-dispatched drain gets no batch spans.
+        """
+        chunks = split_batch(labels, batch.sizes) if labels is not None \
+            else [None] * len(batch.requests)
+        batch.completed_at = time.perf_counter()
+        degraded = labels is not None and bool(batch.missing)
+        for future in batch.requests:
+            t = future.telemetry
+            if batch.dispatched_at:
+                t.dispatched_at = batch.dispatched_at
+                t.queue_s = batch.dispatched_at - t.enqueued_at
+                t.batch_requests = len(batch.requests)
+                t.batch_samples = batch.num_samples
+            t.completed_at = batch.completed_at
+            t.gather_s = batch.gather_s
+            t.fusion_s = batch.fusion_s
+            t.emulated_compute_s = batch.emulated_compute_s
+            t.emulated_transfer_s = batch.emulated_transfer_s
+            # Wire bytes are apportioned to the coalesced requests by
+            # their share of the batch's samples.
+            share = t.num_samples / max(batch.num_samples, 1)
+            t.bytes_out = int(round(batch.bytes_out * share))
+            t.bytes_in = int(round(batch.bytes_in * share))
+            t.degraded = degraded
+            t.workers_down = batch.missing
+            t.error = error
+        with self._lock:
+            self._records.extend(f.telemetry for f in batch.requests)
+        if error is not None:
+            self._m_failed.inc(len(batch.requests))
+        elif degraded:
+            self._m_degraded.inc(len(batch.requests))
+        if batch.dispatched_at:
+            self._m_batch_samples.observe(batch.num_samples)
+        for future, chunk in zip(batch.requests, chunks):
+            if chunk is None:
+                future.set_error(RequestError(error))
+            else:
+                future.set_result(chunk.copy())
+        if not tracing_enabled():
+            return
+        tracer = get_tracer()
+        if batch.dispatched_at:
+            # Batch formation belongs to the trace of the request that
+            # opened the batch (the one that waited for coalescing).
+            tracer.emit("batch.form", trace_id=batch.requests[0].request_id,
+                        ts=batch.formed_wall, duration_s=batch.form_s,
+                        attrs={"requests": len(batch.requests),
+                               "samples": batch.num_samples})
+        if labels is not None:
+            wall = batch.dispatched_wall
+            tracer.emit("batch.serve", trace_id=batch.batch_id,
+                        span_id=batch.span_id, ts=wall,
+                        duration_s=batch.completed_at - batch.dispatched_at,
+                        attrs={"requests": len(batch.requests),
+                               "samples": batch.num_samples,
+                               "workers": batch.workers,
+                               "degraded": bool(batch.missing)})
+            tracer.emit("batch.gather", trace_id=batch.batch_id,
+                        parent_id=batch.span_id, ts=wall,
+                        duration_s=batch.gather_s)
+            tracer.emit("batch.fusion", trace_id=batch.batch_id,
+                        parent_id=batch.span_id,
+                        ts=wall + (batch.fusion_at - batch.dispatched_at),
+                        duration_s=batch.fusion_s)
+        # Spans derive from the telemetry just filled (no double timing).
+        for future in batch.requests:
+            t = future.telemetry
+            root = new_span_id()
+            attrs = {"batch_id": batch.batch_id, "samples": t.num_samples}
+            if t.degraded:
+                attrs["degraded"] = True
+            if t.error is not None:
+                attrs["error"] = t.error
+            tracer.emit("request", trace_id=t.request_id, span_id=root,
+                        ts=t.enqueued_wall, duration_s=t.total_s,
+                        attrs=attrs)
+            tracer.emit("request.queue", trace_id=t.request_id,
+                        parent_id=root, ts=t.enqueued_wall,
+                        duration_s=t.queue_s)
 
     def _maybe_replan(self) -> None:
         """Invoke the replanner once per newly-down hosting worker.

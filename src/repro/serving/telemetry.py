@@ -91,6 +91,9 @@ class ServingReport:
     queue_mean_s: float | None
     gather_mean_s: float | None
     fusion_mean_s: float | None
+    # Weighted by request: each completed request adds the request count
+    # of its batch.  The serving.batch_samples histogram instead counts
+    # samples once per batch, so the two differ by definition.
     mean_batch_requests: float | None
     degraded_requests: int
     worker_health: dict[str, str]      # worker_id -> "up" | reason it is down

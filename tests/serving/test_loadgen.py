@@ -68,6 +68,22 @@ class TestClosedLoop:
         assert batched.report.mean_batch_requests > \
             single.report.mean_batch_requests
 
+    def test_report_covers_the_run_once_the_record_buffer_is_full(
+            self, system):
+        # The server keeps only its last max_records telemetry records;
+        # each run's report must still count every request of that run.
+        server = InferenceServer(system.make_cluster(), system.fusion,
+                                 ServerConfig(max_records=8))
+        with server:
+            runs = [run_load(server, system.input_shape,
+                             LoadgenConfig(num_requests=20, mode="closed",
+                                           concurrency=4))
+                    for _ in range(2)]
+        for result in runs:
+            assert result.completed == 20
+            assert result.report.completed == 20
+            assert result.report.failed == 0
+
     def test_images_per_request(self, system):
         with make_server(system) as server:
             result = run_load(server, system.input_shape,
